@@ -611,6 +611,17 @@ func BenchmarkBitCodecs(b *testing.B) {
 			}
 		}
 	})
+	// Unaligned: every 9-bit value straddles a byte boundary at a different
+	// offset, after a 3-bit prefix.
+	b.Run("unaligned", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var w bits.Writer
+			w.WriteUint(5, 3)
+			for v := uint64(1); v <= 64; v++ {
+				w.WriteUint(v, 9)
+			}
+		}
+	})
 	b.Run("eliasgamma", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var w bits.Writer

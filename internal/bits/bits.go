@@ -110,8 +110,20 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bits: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(int(v >> uint(i) & 1))
+	if width == 0 {
+		return
+	}
+	// Left-align v, OR its head into the partial last byte, then append the
+	// rest a byte at a time: at most 9 steps for a 64-bit value.
+	x := v << uint(64-width)
+	if off := uint(w.n & 7); off != 0 {
+		w.data[len(w.data)-1] |= byte(x >> (56 + off))
+		x <<= 8 - off
+	}
+	w.n += width
+	for len(w.data) < (w.n+7)>>3 {
+		w.data = append(w.data, byte(x>>56))
+		x <<= 8
 	}
 }
 
@@ -262,12 +274,23 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 	if r.Remaining() < width {
 		return 0, fmt.Errorf("bits: need %d bits, have %d", width, r.Remaining())
 	}
-	var v uint64
-	for i := 0; i < width; i++ {
-		b, _ := r.ReadBit()
-		v = v<<1 | uint64(b)
+	if width == 0 {
+		return 0, nil
 	}
-	return v, nil
+	// Gather the (at most 9) bytes the field spans into one left-aligned
+	// word, mirroring WriteUint.
+	first, off := r.pos>>3, uint(r.pos&7)
+	r.pos += width
+	last := (r.pos - 1) >> 3
+	var x uint64
+	for j := first; j <= last && j < first+8; j++ {
+		x |= uint64(r.s.data[j]) << uint(56-8*(j-first))
+	}
+	x <<= off
+	if last == first+8 {
+		x |= uint64(r.s.data[last]) >> (8 - off)
+	}
+	return x >> uint(64-width), nil
 }
 
 // ReadEliasGamma reads an Elias gamma encoded value ≥ 1.

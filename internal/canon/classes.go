@@ -23,19 +23,11 @@ type Class struct {
 // daemon resolves one "canon" spec per unit — so tables are computed once
 // per process and cached. Levels build on each other (every n-vertex graph
 // is an (n-1)-vertex graph plus one vertex), so computing Classes(9) caches
-// 1..8 along the way.
+// 1..8 along the way. A cached table is never written after it is built,
+// so ClassSource slices it in place while Classes hands out copies.
 var classCache struct {
 	sync.Mutex
-	levels map[int]classLevel
-}
-
-// classLevel is one cached table: representative masks ascending, with the
-// automorphism-group order of each (weights derive from it per level, so the
-// same table serves as both the public Class view and the seed of the next
-// level's extension step).
-type classLevel struct {
-	masks []uint64
-	auts  []uint64
+	levels map[int][]Class
 }
 
 // Classes returns the class table for n: one canonical representative per
@@ -43,17 +35,13 @@ type classLevel struct {
 // canonical mask, each carrying its labelled-orbit weight. The ascending
 // mask order is the class-index order of the "canon" source kind — it must
 // never change, or every canon plan fingerprint and manifest would strand.
+// The slice is a copy the caller owns.
 func Classes(n int) ([]Class, error) {
 	lvl, err := classesLevel(n)
 	if err != nil {
 		return nil, err
 	}
-	nf := Factorial(n)
-	out := make([]Class, len(lvl.masks))
-	for i, m := range lvl.masks {
-		out[i] = Class{Mask: m, Weight: nf / lvl.auts[i]}
-	}
-	return out, nil
+	return append([]Class(nil), lvl...), nil
 }
 
 // ClassCount returns the number of isomorphism classes of n-vertex graphs —
@@ -63,19 +51,21 @@ func ClassCount(n int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint64(len(lvl.masks)), nil
+	return uint64(len(lvl)), nil
 }
 
-func classesLevel(n int) (classLevel, error) {
+// classesLevel returns the cached table for n, shared: callers must not
+// write to it.
+func classesLevel(n int) ([]Class, error) {
 	if n < 0 || n > MaxN {
-		return classLevel{}, fmt.Errorf("canon: n=%d outside class-table range [0,%d]", n, MaxN)
+		return nil, fmt.Errorf("canon: n=%d outside class-table range [0,%d]", n, MaxN)
 	}
 	classCache.Lock()
 	defer classCache.Unlock()
 	if classCache.levels == nil {
-		classCache.levels = map[int]classLevel{
-			0: {masks: []uint64{0}, auts: []uint64{1}},
-			1: {masks: []uint64{0}, auts: []uint64{1}},
+		classCache.levels = map[int][]Class{
+			0: {{Mask: 0, Weight: 1}},
+			1: {{Mask: 0, Weight: 1}},
 		}
 	}
 	for m := 2; m <= n; m++ {
@@ -92,7 +82,7 @@ func classesLevel(n int) (classLevel, error) {
 // ⊆ {1..m-1} and canonizing covers every m-class. That is
 // |classes(m-1)|·2^(m-1) canonizations — 3.16·10⁶ at m = 9 versus the 2^36
 // labelled graphs a naive census would canonize.
-func extendLevel(m int, prev classLevel) classLevel {
+func extendLevel(m int, prev []Class) []Class {
 	// Re-indexing tables: edge idx in the (m-1)-vertex EdgeIndex space →
 	// idx in the m-vertex space, and neighborhood bit j → edge {j+1, m}.
 	oldEdges := (m - 1) * (m - 2) / 2
@@ -107,8 +97,8 @@ func extendLevel(m int, prev classLevel) classLevel {
 	}
 
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(prev.masks) {
-		workers = len(prev.masks)
+	if workers > len(prev) {
+		workers = len(prev)
 	}
 	parts := make([]map[uint64]uint64, workers)
 	var wg sync.WaitGroup
@@ -118,9 +108,9 @@ func extendLevel(m int, prev classLevel) classLevel {
 		go func() {
 			defer wg.Done()
 			seen := make(map[uint64]uint64)
-			for i := w; i < len(prev.masks); i += workers {
+			for i := w; i < len(prev); i += workers {
 				base := uint64(0)
-				for rm := prev.masks[i]; rm != 0; rm &= rm - 1 {
+				for rm := prev[i].Mask; rm != 0; rm &= rm - 1 {
 					base |= 1 << reIdx[bits.TrailingZeros64(rm)]
 				}
 				for sub := uint64(0); sub < 1<<uint(m-1); sub++ {
@@ -146,14 +136,15 @@ func extendLevel(m int, prev classLevel) classLevel {
 			merged[c] = a
 		}
 	}
-	lvl := classLevel{masks: make([]uint64, 0, len(merged))}
+	masks := make([]uint64, 0, len(merged))
 	for c := range merged {
-		lvl.masks = append(lvl.masks, c)
+		masks = append(masks, c)
 	}
-	sort.Slice(lvl.masks, func(i, j int) bool { return lvl.masks[i] < lvl.masks[j] })
-	lvl.auts = make([]uint64, len(lvl.masks))
-	for i, c := range lvl.masks {
-		lvl.auts[i] = merged[c]
+	sort.Slice(masks, func(i, j int) bool { return masks[i] < masks[j] })
+	nf := Factorial(m)
+	lvl := make([]Class, len(masks))
+	for i, c := range masks {
+		lvl[i] = Class{Mask: c, Weight: nf / merged[c]}
 	}
 	return lvl
 }

@@ -29,12 +29,14 @@ type ClassSource struct {
 // NewClassSource streams the class-index range [lo, hi) of the n-vertex
 // table; lo = hi = 0 means every class. Building the table on first use is
 // expensive (seconds at n = 9) but cached per process, so a serve daemon
-// pays it once across all units.
+// pays it once across all units; each source then slices the shared,
+// read-only table instead of copying it, so a unit's set-up costs the same
+// few bytes whatever its class range.
 func NewClassSource(n int, lo, hi uint64) (*ClassSource, error) {
 	if n < 1 || n > MaxN {
 		return nil, fmt.Errorf("canon: n=%d outside class range [1,%d]", n, MaxN)
 	}
-	classes, err := Classes(n)
+	classes, err := classesLevel(n) // shared, read-only: no per-unit copy
 	if err != nil {
 		return nil, err
 	}

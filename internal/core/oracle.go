@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	mbits "math/bits"
+	"sync"
 
 	"refereenet/internal/bits"
 	"refereenet/internal/graph"
@@ -17,12 +19,18 @@ import (
 // wrong reconstructions — which is the theorem.
 type OracleDecider struct {
 	Label string
-	Pred  func(*graph.Graph) bool
+	// Pred is the predicate the referee evaluates on the rebuilt graph. The
+	// graph is recycled by the next Decide, so Pred must not retain it.
+	Pred func(*graph.Graph) bool
 	// Accept, when non-nil, is the lane-parallel form of Pred: per-lane
 	// accept bits over a transposed 64-graph block. Oracles whose predicate
 	// has a bitsliced kernel (triangle, square, connectivity) set it; the
 	// rest decline VectorKernel and run scalar.
 	Accept func(*lanes.Block) uint64
+
+	// graphs recycles Decide's rebuilt graph. A pool rather than one field,
+	// because concurrent Batch workers share one decider.
+	graphs sync.Pool
 }
 
 // Name implements sim.Named.
@@ -36,17 +44,18 @@ func (o *OracleDecider) LocalMessage(n, id int, nbrs []int) bits.String {
 	return w.String()
 }
 
-// AppendLocalMessage implements engine.BufferedLocal: a single merge walk
-// over the (ascending) neighbor list, no scratch.
+// AppendLocalMessage implements engine.BufferedLocal: the (ascending)
+// neighbor list packed into one word per 64 row bits, each written with a
+// single WriteUint — one call for n ≤ 64.
 func (o *OracleDecider) AppendLocalMessage(w *bits.Writer, n, id int, nbrs []int) {
 	i := 0
-	for j := 1; j <= n; j++ {
-		if i < len(nbrs) && nbrs[i] == j {
-			w.WriteBit(1)
-			i++
-		} else {
-			w.WriteBit(0)
+	for lo := 0; lo < n; lo += 64 {
+		width := min(n-lo, 64)
+		var row uint64 // neighbor j in lo+1..lo+width at bit lo+width-j
+		for ; i < len(nbrs) && nbrs[i] <= lo+width; i++ {
+			row |= 1 << uint(lo+width-nbrs[i])
 		}
+		w.WriteUint(row, width)
 	}
 }
 
@@ -68,41 +77,66 @@ func (o *OracleDecider) VectorKernel(decide bool) lanes.Kernel {
 }
 
 // Decide rebuilds the graph from the rows and applies the predicate. It
-// rejects inconsistent rows (an edge asserted by one endpoint only).
+// rejects inconsistent rows (an edge asserted by one endpoint only). The
+// graph is recycled across calls, so a referee deciding graph after graph
+// allocates nothing.
 func (o *OracleDecider) Decide(n int, msgs []bits.String) (bool, error) {
-	g, err := decodeRows(n, msgs)
-	if err != nil {
+	if err := checkRowCount(n, msgs); err != nil {
 		return false, err
 	}
-	return o.Pred(g), nil
+	g, _ := o.graphs.Get().(*graph.Graph)
+	if g == nil || g.N() != n {
+		g = graph.New(n)
+	}
+	err := decodeRows(g, msgs)
+	ans := err == nil && o.Pred(g)
+	o.graphs.Put(g)
+	return ans, err
 }
 
-// decodeRows turns n adjacency rows into a graph, checking symmetry.
-func decodeRows(n int, msgs []bits.String) (*graph.Graph, error) {
+func checkRowCount(n int, msgs []bits.String) error {
 	if len(msgs) != n {
-		return nil, fmt.Errorf("core: %d messages for n=%d", len(msgs), n)
+		return fmt.Errorf("core: %d messages for n=%d", len(msgs), n)
 	}
-	g := graph.New(n)
+	return nil
+}
+
+// decodeRows rebuilds g, an n-vertex graph with n = len(msgs), from the
+// adjacency rows, checking lengths, self-loops and symmetry. Each row is
+// read a word at a time into graph.MergeRow's layout, which checks it
+// against the rows before it on whole words.
+func decodeRows(g *graph.Graph, msgs []bits.String) error {
+	n := g.N()
+	g.Clear()
+	var buf [4]uint64 // rows up to n = 255 stay on the stack
+	row := buf[:]
+	if words := graph.RowWords(n); words > len(buf) {
+		row = make([]uint64, words)
+	} else {
+		row = row[:words]
+	}
 	for i, m := range msgs {
 		if m.Len() != n {
-			return nil, fmt.Errorf("core: row %d has %d bits, want %d", i+1, m.Len(), n)
+			return fmt.Errorf("core: row %d has %d bits, want %d", i+1, m.Len(), n)
 		}
-		for j := 1; j <= n; j++ {
-			if m.Bit(j-1) == 1 {
-				if j == i+1 {
-					return nil, fmt.Errorf("core: row %d has a self-loop", i+1)
-				}
-				if j > i+1 {
-					g.AddEdge(i+1, j)
-				} else if !g.HasEdge(j, i+1) {
-					return nil, fmt.Errorf("core: rows %d and %d disagree on edge", i+1, j)
-				}
-			} else if j < i+1 && g.HasEdge(j, i+1) {
-				return nil, fmt.Errorf("core: rows %d and %d disagree on edge", i+1, j)
-			}
+		r := bits.NewReader(m)
+		// Row bit j-1 is vertex j; word k of the layout holds vertices
+		// max(1, 64k) .. min(n, 64k+63), the lowest at the top of the read.
+		lo := 1
+		for k := range row {
+			width := min(n, 64*k+63) - lo + 1
+			v, _ := r.ReadUint(width)
+			row[k] = mbits.Reverse64(v) >> uint(64-width) << uint(lo&63)
+			lo += width
+		}
+		switch j := g.MergeRow(i+1, row); {
+		case j == i+1:
+			return fmt.Errorf("core: row %d has a self-loop", i+1)
+		case j != 0:
+			return fmt.Errorf("core: rows %d and %d disagree on edge", i+1, j)
 		}
 	}
-	return g, nil
+	return nil
 }
 
 // The predicates the paper proves hard, as oracle deciders.
@@ -168,7 +202,14 @@ func (OracleReconstructor) LocalMessage(n, id int, nbrs []int) bits.String {
 
 // Reconstruct rebuilds the graph from the rows.
 func (OracleReconstructor) Reconstruct(n int, msgs []bits.String) (*graph.Graph, error) {
-	return decodeRows(n, msgs)
+	if err := checkRowCount(n, msgs); err != nil {
+		return nil, err
+	}
+	g := graph.New(n)
+	if err := decodeRows(g, msgs); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 var (

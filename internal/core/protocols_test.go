@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"refereenet/internal/bits"
@@ -180,6 +182,47 @@ func TestOracleDeciders(t *testing.T) {
 				t.Fatalf("%s on %v: got %v, want %v", c.o.Name(), g, got, c.want)
 			}
 		}
+	}
+}
+
+// TestOracleDecideConcurrent shares one decider between goroutines, as
+// Batch workers do: each decides its own graphs (at two vertex counts, so
+// recycled graphs change size too) and must get the verdicts computed
+// straight from the graphs. Under -race it also checks the recycling.
+func TestOracleDecideConcurrent(t *testing.T) {
+	o := NewDiameterOracle(3)
+	rng := gen.NewRand(207)
+	type job struct {
+		n    int
+		msgs []bits.String
+		want bool
+	}
+	var jobs []job
+	for i := 0; i < 64; i++ {
+		g := gen.Gnp(rng, 9+i%2*61, 0.3)
+		jobs = append(jobs, job{g.N(), sim.LocalPhase(g, o, sim.Sequential).Messages, g.DiameterAtMost(3)})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for i := w; i < len(jobs); i += 2 {
+					j := jobs[i]
+					if got, err := o.Decide(j.n, j.msgs); err != nil || got != j.want {
+						errs <- fmt.Errorf("graph %d (n=%d): Decide = %v, %v; want %v", i, j.n, got, err, j.want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -77,6 +78,79 @@ func TestDiameterAtMost(t *testing.T) {
 	}
 	if MustFromEdges(2, nil).DiameterAtMost(3) {
 		t.Error("disconnected graph should fail DiameterAtMost")
+	}
+}
+
+// checkDiameterAtMost compares DiameterAtMost(d) with the BFS-distance
+// Diameter for every d in 0..n.
+func checkDiameterAtMost(t *testing.T, g *Graph) {
+	t.Helper()
+	diam := g.Diameter()
+	for d := 0; d <= g.N(); d++ {
+		if got, want := g.DiameterAtMost(d), diam >= 0 && diam <= d; got != want {
+			t.Fatalf("DiameterAtMost(%d) = %v, Diameter = %d for %v", d, got, diam, g)
+		}
+	}
+}
+
+// TestDiameterAtMostMatchesDiameter is the differential check of the
+// bitset-frontier BFS against the per-source BFSDistances path: every
+// labelled graph with n ≤ 6 (visited in Gray order, one edge toggle per
+// step), the degenerate n = 0 and n = 1, and seeded random graphs whose n
+// straddles the one-word and multi-word boundaries.
+func TestDiameterAtMostMatchesDiameter(t *testing.T) {
+	for n := 0; n <= 6; n++ {
+		g := New(n)
+		total := n * (n - 1) / 2
+		checkDiameterAtMost(t, g)
+		for i := uint64(1); i < 1<<uint(total); i++ {
+			g.ToggleEdge(EdgePair(n, bits.TrailingZeros64(i)))
+			checkDiameterAtMost(t, g)
+		}
+	}
+	if !New(0).DiameterAtMost(0) || !New(1).DiameterAtMost(0) {
+		t.Error("n = 0 and n = 1 have diameter 0")
+	}
+	if New(1).DiameterAtMost(-1) {
+		t.Error("no graph with a vertex has diameter ≤ -1")
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{62, 63, 64, 65, 129} {
+		for trial := 0; trial < 8; trial++ {
+			var g *Graph
+			switch trial % 4 {
+			case 0: // dense: diameter 2
+				g = randomGraph(rng, n, 0.5)
+			case 1: // near the connectivity threshold: larger diameters
+				g = randomGraph(rng, n, 4/float64(n))
+			case 2: // sparse: usually disconnected
+				g = randomGraph(rng, n, 1/float64(n))
+			default: // a random Hamiltonian path plus a few chords: long diameters
+				g = New(n)
+				perm := rng.Perm(n)
+				for i := 1; i < n; i++ {
+					g.AddEdge(perm[i-1]+1, perm[i]+1)
+				}
+				for c := rng.Intn(4); c > 0; c-- {
+					u, v := 1+rng.Intn(n), 1+rng.Intn(n)
+					if u != v && !g.HasEdge(u, v) {
+						g.AddEdge(u, v)
+					}
+				}
+			}
+			checkDiameterAtMost(t, g)
+		}
+	}
+}
+
+// TestDiameterAtMostNoAlloc pins the referee's hot predicate at zero
+// allocations for stack-sized n (one word at n = 9, three at n = 129).
+func TestDiameterAtMostNoAlloc(t *testing.T) {
+	for _, g := range []*Graph{path(9), cycle(129)} {
+		if avg := testing.AllocsPerRun(100, func() { g.DiameterAtMost(3) }); avg != 0 {
+			t.Errorf("n=%d: DiameterAtMost allocates %.1f per call", g.N(), avg)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -16,9 +17,10 @@ import (
 // Graph is a simple undirected graph on vertices 1..n.
 // The zero value is not usable; call New.
 type Graph struct {
-	n   int
-	m   int
-	adj []bitset // adj[v] for v in 1..n; index 0 unused
+	n    int
+	m    int
+	adj  []bitset // adj[v] for v in 1..n; index 0 unused
+	flat []uint64 // the rows adj[1..n], back to back
 }
 
 // New returns an empty graph on n ≥ 0 vertices with IDs 1..n.
@@ -34,9 +36,9 @@ func New(n int) *Graph {
 		return g
 	}
 	words := bitsetWords(n + 1)
-	backing := make([]uint64, n*words)
+	g.flat = make([]uint64, n*words)
 	for v := 1; v <= n; v++ {
-		g.adj[v] = bitset(backing[(v-1)*words : v*words : v*words])
+		g.adj[v] = bitset(g.flat[(v-1)*words : v*words : v*words])
 	}
 	return g
 }
@@ -97,6 +99,57 @@ func (g *Graph) AddEdgeErr(u, v int) error {
 	g.adj[v].set(u)
 	g.m++
 	return nil
+}
+
+// Clear removes every edge, keeping the vertex count and the row storage,
+// so one graph can be refilled without allocating.
+func (g *Graph) Clear() {
+	clear(g.flat)
+	g.m = 0
+}
+
+// RowWords returns the number of words in one adjacency row of an n-vertex
+// graph in the layout MergeRow takes: bit v&63 of word v>>6 is vertex v, and
+// bit 0 of word 0 is unused.
+func RowWords(n int) int { return bitsetWords(n + 1) }
+
+// MergeRow adds vertex u's adjacency row when a graph is rebuilt from its
+// rows in increasing u, starting from no edges — the oracle referee's
+// decode. row holds u's claimed neighbours in RowWords layout. The rows
+// merged before have fixed every edge {j, u} with j < u, so MergeRow first
+// checks the claim against them on whole words and returns the smallest
+// vertex j ≤ u it contradicts: j == u for a self-loop, j < u when rows u
+// and j disagree on {j, u}. Otherwise it adds every edge {u, v} with v > u
+// and returns 0. A row bit outside 1..n panics.
+func (g *Graph) MergeRow(u int, row []uint64) int {
+	g.checkVertex(u)
+	adj := g.adj[u]
+	if len(row) != len(adj) || row[0]&1 != 0 || row[len(row)-1]>>uint(g.n&63+1) != 0 {
+		panic(fmt.Sprintf("graph: row of %d words is not an n=%d row", len(row), g.n))
+	}
+	uw, self := u>>6, uint64(1)<<uint(u&63)
+	for k := 0; k <= uw; k++ {
+		bad := row[k] ^ adj[k] // every bit of a word below uw is a vertex j < u
+		if k == uw {
+			bad = bad&(self-1) | row[k]&self
+		}
+		if bad != 0 {
+			return k<<6 + bits.TrailingZeros64(bad)
+		}
+	}
+	for k := uw; k < len(row); k++ {
+		above := row[k]
+		if k == uw {
+			above &^= self<<1 - 1
+		}
+		adj[k] |= above
+		g.m += bits.OnesCount64(above)
+		for ; above != 0; above &= above - 1 {
+			v := k<<6 + bits.TrailingZeros64(above)
+			g.flat[(v-1)*len(row)+uw] |= self // adj[v] gains u
+		}
+	}
+	return 0
 }
 
 // RemoveEdge deletes the edge {u,v} if present and reports whether it was.
@@ -190,11 +243,9 @@ func (g *Graph) Clone() *Graph {
 		return c
 	}
 	words := bitsetWords(g.n + 1)
-	backing := make([]uint64, g.n*words)
+	c.flat = append([]uint64(nil), g.flat...)
 	for v := 1; v <= g.n; v++ {
-		row := bitset(backing[(v-1)*words : v*words : v*words])
-		copy(row, g.adj[v])
-		c.adj[v] = row
+		c.adj[v] = bitset(c.flat[(v-1)*words : v*words : v*words])
 	}
 	return c
 }

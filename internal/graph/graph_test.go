@@ -295,3 +295,56 @@ func TestQuickEdgeMaskBijection(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// rowOf returns u's adjacency row in RowWords layout.
+func rowOf(g *Graph, u int) []uint64 {
+	row := make([]uint64, RowWords(g.N()))
+	for _, v := range g.Neighbors(u) {
+		row[v>>6] |= 1 << uint(v&63)
+	}
+	return row
+}
+
+// TestMergeRowRebuilds rebuilds random graphs from their rows into one
+// cleared graph per n, and checks that a flipped entry is reported at the
+// first row that contradicts an earlier one.
+func TestMergeRowRebuilds(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 9, 63, 64, 65, 129} {
+		h := New(n)
+		for trial := 0; trial < 4; trial++ {
+			g := randomGraph(rng, n, 0.3)
+			h.Clear()
+			for u := 1; u <= n; u++ {
+				if j := h.MergeRow(u, rowOf(g, u)); j != 0 {
+					t.Fatalf("n=%d: clean row %d reported vertex %d", n, u, j)
+				}
+			}
+			if !h.Equal(g) {
+				t.Fatalf("n=%d: rebuilt %v, want %v", n, h, g)
+			}
+
+			// Flip entry (u, v): row max(u,v) is the first to see it.
+			u, v := 1+rng.Intn(n), 1+rng.Intn(n)
+			h.Clear()
+			for w := 1; w <= n; w++ {
+				row := rowOf(g, w)
+				if w == u {
+					row[v>>6] ^= 1 << uint(v&63)
+				}
+				j := h.MergeRow(w, row)
+				switch {
+				case w < max(u, v) && j != 0:
+					t.Fatalf("n=%d flip (%d,%d): row %d reported %d early", n, u, v, w, j)
+				case w == max(u, v):
+					if want := min(u, v); j != want {
+						t.Fatalf("n=%d flip (%d,%d): row %d reported %d, want %d", n, u, v, w, j, want)
+					}
+				}
+				if j != 0 {
+					break
+				}
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // BFSDistances returns dist[v] = number of edges on a shortest path from src
 // to v, or -1 when v is unreachable. dist[0] is unused and set to -1.
 func (g *Graph) BFSDistances(src int) []int {
@@ -61,14 +63,88 @@ func (g *Graph) Diameter() int {
 }
 
 // DiameterAtMost reports whether the graph is connected with diameter ≤ d.
-// It short-circuits as soon as some eccentricity exceeds d.
+// From each source it runs a bitset-frontier BFS: a step ORs the adjacency
+// rows of the frontier into the next frontier, at most d steps are taken,
+// and a source stops as soon as it has seen every vertex. The scratch sets
+// live on the stack for n < 256 (a single machine word for n < 64), so the
+// scalar referee can call it once per graph without garbage. Diameter and
+// Eccentricity answer the same question one BFS distance at a time and are
+// its test oracle.
 func (g *Graph) DiameterAtMost(d int) bool {
 	if g.n == 0 {
 		return true
 	}
-	for v := 1; v <= g.n; v++ {
-		ecc := g.Eccentricity(v)
-		if ecc < 0 || ecc > d {
+	if d < 0 {
+		return false
+	}
+	words := bitsetWords(g.n + 1)
+	if words == 1 {
+		return g.diameterAtMostWord(d)
+	}
+	var buf [3 * 4]uint64
+	scratch := buf[:]
+	if 3*words > len(buf) {
+		scratch = make([]uint64, 3*words)
+	}
+	seen := bitset(scratch[:words])
+	frontier := bitset(scratch[words : 2*words])
+	next := bitset(scratch[2*words : 3*words])
+	for s := 1; s <= g.n; s++ {
+		clear(seen)
+		clear(frontier)
+		seen.set(s)
+		frontier.set(s)
+		reached := 1
+		for step := 0; step < d && reached < g.n; step++ {
+			clear(next)
+			for wi, w := range frontier {
+				for ; w != 0; w &= w - 1 {
+					for k, r := range g.adj[wi<<6+bits.TrailingZeros64(w)] {
+						next[k] |= r
+					}
+				}
+			}
+			added := 0
+			for k := range next {
+				next[k] &^= seen[k]
+				seen[k] |= next[k]
+				added += bits.OnesCount64(next[k])
+			}
+			if added == 0 {
+				break
+			}
+			reached += added
+			frontier, next = next, frontier
+		}
+		if reached < g.n {
+			return false
+		}
+	}
+	return true
+}
+
+// diameterAtMostWord is DiameterAtMost for n < 64, where every vertex set
+// is one word (bit v is vertex v) and so is every row: the inner loop reads
+// the flat row array, not per-vertex slice headers.
+func (g *Graph) diameterAtMostWord(d int) bool {
+	rows := g.flat                    // rows[v-1] is vertex v's row
+	all := uint64(1)<<uint(g.n+1) - 2 // bits 1..n; the shift is 0 at n = 63
+	for s := 1; s <= g.n; s++ {
+		seen := uint64(1) << uint(s)
+		frontier := seen
+		for step := 0; step < d && seen != all; step++ {
+			var next uint64
+			for f := frontier; f != 0; f &= f - 1 {
+				next |= rows[bits.TrailingZeros64(f)-1]
+			}
+			next &^= seen
+			if next == 0 {
+				break
+			}
+			seen |= next
+			frontier = next
+		}
+		if seen != all {
 			return false
 		}
 	}
