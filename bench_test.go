@@ -687,20 +687,61 @@ func BenchmarkAdjacencyKey(b *testing.B) {
 }
 
 // BenchmarkCanonicalForm measures one individualization–refinement
-// canonization at sweep scale (n = 8, random masks): the per-class cost the
-// quotient plane pays once per isomorphism class instead of once per
-// labelled graph.
+// canonization. "random" is sweep scale (n = 8, random masks): the
+// per-class cost the quotient plane pays once per isomorphism class instead
+// of once per labelled graph. "symmetric" cycles through n = 10 graphs with
+// large automorphism groups — with and without twin vertices — where the
+// search tree, not refinement, dominates.
 func BenchmarkCanonicalForm(b *testing.B) {
 	rng := gen.NewRand(5)
-	const n = 8
-	masks := make([]uint64, 1024)
-	for i := range masks {
-		masks[i] = rng.Uint64() & (1<<28 - 1)
+	random := make([]uint64, 1024)
+	for i := range random {
+		random[i] = rng.Uint64() & (1<<28 - 1)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		canon.MustCanonical(n, masks[i%len(masks)])
+	const n = 10
+	edgeMask := func(adjacent func(u, v int) bool) uint64 {
+		var mask uint64
+		for u := 1; u <= n; u++ {
+			for v := u + 1; v <= n; v++ {
+				if adjacent(u, v) {
+					mask |= 1 << uint(graph.EdgeIndex(n, u, v))
+				}
+			}
+		}
+		return mask
+	}
+	petersen := func(u, v int) bool {
+		// Kneser graph K(5,2): vertices are the 2-subsets of {0..4},
+		// adjacent when disjoint.
+		var pairs [][2]int
+		for a := 0; a < 5; a++ {
+			for c := a + 1; c < 5; c++ {
+				pairs = append(pairs, [2]int{a, c})
+			}
+		}
+		p, q := pairs[u-1], pairs[v-1]
+		return p[0] != q[0] && p[0] != q[1] && p[1] != q[0] && p[1] != q[1]
+	}
+	symmetric := []uint64{
+		edgeMask(func(u, v int) bool { return false }),                  // empty
+		edgeMask(func(u, v int) bool { return true }),                   // K10
+		edgeMask(func(u, v int) bool { return u == 1 }),                 // star K1,9
+		edgeMask(func(u, v int) bool { return (u <= 5) != (v <= 5) }),   // K5,5
+		edgeMask(func(u, v int) bool { return u%2 == 1 && v == u+1 }),   // perfect matching
+		edgeMask(func(u, v int) bool { return v == u+1 || v-u == n-1 }), // C10
+		edgeMask(petersen),
+	}
+	for _, c := range []struct {
+		name  string
+		n     int
+		masks []uint64
+	}{{"random", 8, random}, {"symmetric", n, symmetric}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				canon.MustCanonical(c.n, c.masks[i%len(c.masks)])
+			}
+		})
 	}
 }
 

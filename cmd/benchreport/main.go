@@ -54,7 +54,12 @@ type Report struct {
 	Results   []Result `json:"results"`
 }
 
-const defaultBench = "BenchmarkEnumerate|BenchmarkCountFamilies|BenchmarkCollisionSearch|BenchmarkLocalPhaseModes|BenchmarkGraphAlgorithms|BenchmarkRunBatch|BenchmarkVectorBatch|BenchmarkSweepLocal|BenchmarkSweepTCP|BenchmarkPowerSumAccumulator|BenchmarkAdjacencyKey|BenchmarkCanonicalForm|BenchmarkSweepCanonVsGray|BenchmarkSweepCanonVector"
+const defaultBench = "BenchmarkEnumerate|BenchmarkCountFamilies|BenchmarkCollisionSearch|BenchmarkLocalPhaseModes|BenchmarkGraphAlgorithms|BenchmarkRunBatch|BenchmarkVectorBatch|BenchmarkSweepLocal|BenchmarkSweepTCP|BenchmarkPowerSumAccumulator|BenchmarkAdjacencyKey|BenchmarkCanonicalForm|BenchmarkSweepCanonVsGray|BenchmarkSweepCanonVector|BenchmarkClassTableBuild"
+
+// defaultPkgs holds the default suite: the repository benchmarks at the
+// root, plus the class-table build, which needs the canon package's
+// unexported level extension.
+const defaultPkgs = ". ./internal/canon"
 
 // benchLine matches one line of `go test -bench -benchmem` output, e.g.
 // "BenchmarkEnumerate/n=6-8  370  3212515 ns/op  0 B/op  0 allocs/op".
@@ -64,7 +69,7 @@ func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1s", "value passed to go test -benchtime (time-based by default: fixed-count runs like 1x are too noisy to compare)")
 	dir := flag.String("dir", ".", "directory holding BENCH_<date>.json baselines")
-	pkg := flag.String("pkg", ".", "package to benchmark")
+	pkg := flag.String("pkg", defaultPkgs, "space-separated packages to benchmark")
 	dry := flag.Bool("n", false, "run and compare but do not write a new baseline")
 	force := flag.Bool("force", false, "overwrite an existing baseline for today")
 	count := flag.Int("count", 5, "repetitions per benchmark (go test -count); ≥ 2 enables Welch's t-test significance flags on the speedup ratios")
@@ -109,8 +114,9 @@ func runSuite(bench, benchtime, pkg string, count int) (*Report, string, error) 
 	if count < 1 {
 		count = 1
 	}
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", bench,
-		"-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count), pkg)
+	args := []string{"test", "-run", "^$", "-bench", bench,
+		"-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count)}
+	cmd := exec.Command("go", append(args, strings.Fields(pkg)...)...)
 	raw, err := cmd.CombinedOutput()
 	out := string(raw)
 	if err != nil {

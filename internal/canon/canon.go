@@ -21,7 +21,9 @@
 // a relabelling; the canonical form is the minimum relabelled edge mask over
 // all leaves, and — because the leaf set is closed under Aut(g), which acts
 // freely on it — the number of leaves achieving that minimum is exactly
-// |Aut(g)|.
+// |Aut(g)|. The search visits one vertex per class of twin vertices in each
+// cell it individualizes and counts the skipped, mirror-image subtrees by
+// multiplicity, so the empty graph costs one leaf instead of n!.
 package canon
 
 import (
@@ -32,8 +34,9 @@ import (
 )
 
 // MaxN is the largest vertex count the canonical-form routines accept. The
-// class table at n = 10 already holds 12,005,168 classes (A000088(10)) and
-// costs ~1.4·10⁸ canonizations to build; n = 11's 1.0·10⁹ classes would not
+// class table at n = 10 already holds 12,005,168 classes (A000088(10)): its
+// build canonizes 1.6·10⁷ prefiltered candidates (~19 s on one core) and
+// keeps a map of every class in memory; n = 11's 1.0·10⁹ classes would not
 // fit a reasonable table, so the quotient plane stops where graph.Small's
 // word packing still leaves headroom.
 const MaxN = 10
@@ -89,7 +92,7 @@ func Canonical(n int, mask uint64) (Result, error) {
 	}
 	var s searcher
 	s.init(n, mask)
-	s.search(s.rootPartition())
+	s.search(s.rootPartition(), 1)
 	return Result{Canon: s.best, AutOrder: s.bestCount}, nil
 }
 
@@ -112,14 +115,10 @@ func MustCanonical(n int, mask uint64) Result {
 // searcher holds the state of one individualization–refinement run. All
 // scratch lives in fixed arrays sized by MaxN, so a canonization allocates
 // nothing beyond the recursion stack — the class generator calls this
-// millions of times.
+// hundreds of thousands of times.
 type searcher struct {
 	n   int
 	adj [MaxN]uint16 // adj[v] bit w set iff {v,w} edge, vertices 0-based
-
-	// newIndex[u][v] is graph.EdgeIndex(n, u+1, v+1) for u < v, precomputed
-	// once so leaf relabelling is table lookups.
-	newIndex [MaxN][MaxN]uint8
 
 	best      uint64 // minimum relabelled mask over leaves seen so far
 	bestCount uint64 // leaves achieving best = |Aut| at the end
@@ -135,21 +134,37 @@ type partition struct {
 	cellEnd [MaxN]bool
 }
 
-func (s *searcher) init(n int, mask uint64) {
-	s.n = n
-	for v := 0; v < MaxN; v++ {
-		s.adj[v] = 0
-	}
-	for m := mask; m != 0; m &= m - 1 {
-		u, v := graph.EdgePair(n, bits.TrailingZeros64(m))
-		s.adj[u-1] |= 1 << uint(v-1)
-		s.adj[v-1] |= 1 << uint(u-1)
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			s.newIndex[u][v] = uint8(graph.EdgeIndex(n, u+1, v+1))
+// adjacency unpacks an n-vertex edge mask into 0-based adjacency rows. The
+// graph.EdgeIndex order lays the mask out row by row: row u holds the pairs
+// {u, u+1..n-1}, n-1-u bits wide, so each row is one shift and one mask.
+func adjacency(n int, mask uint64) (adj [MaxN]uint16) {
+	for u := 0; u < n-1; u++ {
+		w := uint(n - 1 - u)
+		row := uint16(mask&(1<<w-1)) << uint(u+1)
+		mask >>= w
+		adj[u] |= row
+		for r := row; r != 0; r &= r - 1 {
+			adj[bits.TrailingZeros16(r)] |= 1 << uint(u)
 		}
 	}
+	return adj
+}
+
+// pack is the inverse of adjacency: it lays the upper half of each row back
+// into the graph.EdgeIndex order.
+func pack(n int, adj *[MaxN]uint16) uint64 {
+	var mask uint64
+	off := uint(0)
+	for u := 0; u < n-1; u++ {
+		mask |= uint64(adj[u]>>uint(u+1)) << off
+		off += uint(n - 1 - u)
+	}
+	return mask
+}
+
+func (s *searcher) init(n int, mask uint64) {
+	s.n = n
+	s.adj = adjacency(n, mask)
 	s.best = 0
 	s.bestCount = 0
 	s.leafSeen = false
@@ -242,7 +257,9 @@ func (s *searcher) refine(p *partition) {
 }
 
 // search recurses over the individualization–refinement tree rooted at p.
-func (s *searcher) search(p partition) {
+// mult is the number of leaves each leaf of this subtree stands for (see
+// the twin pruning below).
+func (s *searcher) search(p partition, mult uint64) {
 	s.refine(&p)
 	// Find the first non-singleton cell; a fully discrete partition is a
 	// leaf.
@@ -254,7 +271,7 @@ func (s *searcher) search(p partition) {
 		}
 	}
 	if target < 0 {
-		s.leaf(&p)
+		s.leaf(&p, mult)
 		return
 	}
 	end := target
@@ -265,38 +282,54 @@ func (s *searcher) search(p partition) {
 	// front of the cell and seal it as a singleton. Every choice spawns one
 	// branch; automorphic choices spawn isomorphic subtrees, which is
 	// exactly how min-leaf multiplicity counts |Aut|.
+	//
+	// Twins — v and w with the same neighbours apart from each other — are
+	// explored once. The transposition (v w) is then an automorphism that
+	// fixes every vertex individualized so far, so it maps v's subtree onto
+	// w's leaf by leaf with equal relabelled masks: the minimum leaf is the
+	// same, and v's subtree counts once for each twin of its class in the
+	// cell. Twinhood is an equivalence (true and false twins cannot mix),
+	// so the classes partition the cell.
+	var covered uint16
 	for j := target; j <= end; j++ {
+		v := p.order[j]
+		if covered&(1<<v) != 0 {
+			continue
+		}
+		twins := uint64(1)
+		for i := j + 1; i <= end; i++ {
+			w := p.order[i]
+			if s.adj[v]&^(1<<w) == s.adj[w]&^(1<<v) {
+				covered |= 1 << w
+				twins++
+			}
+		}
 		q := p
-		v := q.order[j]
 		copy(q.order[target+1:j+1], p.order[target:j])
 		q.order[target] = v
 		q.cellEnd[target] = true
-		s.search(q)
+		s.search(q, mult*twins)
 	}
 }
 
-// leaf scores one discrete partition: relabel vertex order[i] to i+1 and
-// compare the relabelled mask against the best seen.
-func (s *searcher) leaf(p *partition) {
+// leaf scores one discrete partition worth mult leaves: relabel vertex
+// order[i] to i+1 and compare the relabelled mask against the best seen.
+func (s *searcher) leaf(p *partition, mult uint64) {
 	var pos [MaxN]uint8
 	for i := 0; i < s.n; i++ {
 		pos[p.order[i]] = uint8(i)
 	}
-	var mask uint64
-	for u := 0; u < s.n; u++ {
-		for row := s.adj[u] >> uint(u+1) << uint(u+1); row != 0; row &= row - 1 {
-			v := bits.TrailingZeros16(row)
-			a, b := pos[u], pos[v]
-			if a > b {
-				a, b = b, a
-			}
-			mask |= 1 << uint(s.newIndex[a][b])
+	var rel [MaxN]uint16
+	for i := 0; i < s.n; i++ {
+		for a := s.adj[p.order[i]]; a != 0; a &= a - 1 {
+			rel[i] |= 1 << pos[bits.TrailingZeros16(a)]
 		}
 	}
+	mask := pack(s.n, &rel)
 	switch {
 	case !s.leafSeen || mask < s.best:
-		s.best, s.bestCount, s.leafSeen = mask, 1, true
+		s.best, s.bestCount, s.leafSeen = mask, mult, true
 	case mask == s.best:
-		s.bestCount++
+		s.bestCount += mult
 	}
 }

@@ -2,8 +2,7 @@ package canon
 
 import (
 	"math/bits"
-	"math/rand"
-	"os"
+	"sync"
 	"testing"
 
 	"refereenet/internal/graph"
@@ -13,9 +12,9 @@ import (
 var a000088 = []uint64{1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668}
 
 func TestClassCensusMatchesA000088(t *testing.T) {
-	top := 8
-	if os.Getenv("REFEREENET_N9_FULL") != "" {
-		top = 9 // ~5 s of table building; env-gated like the other n=9 soaks
+	top := 9 // the n = 9 table takes ~0.5 s to build on two cores
+	if testing.Short() {
+		top = 8
 	}
 	for n := 0; n <= top; n++ {
 		got, err := ClassCount(n)
@@ -93,20 +92,45 @@ func bruteCanonical(n int, mask uint64) Result {
 	return Result{Canon: best, AutOrder: aut}
 }
 
+// bruteMemo caches bruteForms, which two tests share: the n = 6 oracle
+// costs seconds.
+var bruteMemo struct {
+	sync.Mutex
+	forms map[int][]Result
+}
+
+// bruteForms returns bruteCanonical of every n-vertex mask, indexed by mask.
+func bruteForms(n int) []Result {
+	bruteMemo.Lock()
+	defer bruteMemo.Unlock()
+	if f, ok := bruteMemo.forms[n]; ok {
+		return f
+	}
+	forms := make([]Result, 1<<uint(n*(n-1)/2))
+	for mask := range forms {
+		forms[mask] = bruteCanonical(n, uint64(mask))
+	}
+	if bruteMemo.forms == nil {
+		bruteMemo.forms = map[int][]Result{}
+	}
+	bruteMemo.forms[n] = forms
+	return forms
+}
+
 // TestCanonicalAgainstBruteForce checks Canonical against the all-
-// permutations oracle, exhaustively for n ≤ 5. The two algorithms may pick
+// permutations oracle, exhaustively for n ≤ 6 — every labelled graph, so
+// every twin pattern the search prunes on. The two algorithms may pick
 // different representatives (I-R minimizes over refinement-tree leaves, the
 // oracle over all of Sₙ), so the contract is: identical automorphism-group
 // order on every mask, and identical partition of the labelled space — the
 // map between brute-force forms and I-R forms must be a bijection.
 func TestCanonicalAgainstBruteForce(t *testing.T) {
-	for n := 2; n <= 5; n++ {
-		edges := uint(n * (n - 1) / 2)
+	for n := 2; n <= 6; n++ {
 		bruteToIR := map[uint64]uint64{}
 		irToBrute := map[uint64]uint64{}
-		for mask := uint64(0); mask < 1<<edges; mask++ {
+		for i, want := range bruteForms(n) {
+			mask := uint64(i)
 			got := MustCanonical(n, mask)
-			want := bruteCanonical(n, mask)
 			if got.AutOrder != want.AutOrder {
 				t.Fatalf("n=%d mask=%#x: |Aut| = %d, brute force says %d", n, mask, got.AutOrder, want.AutOrder)
 			}
@@ -132,10 +156,9 @@ func TestCanonicalAgainstBruteForce(t *testing.T) {
 // key path end to end.
 func TestBruteForceClassCensus(t *testing.T) {
 	for n := 1; n <= 6; n++ {
-		edges := uint(n * (n - 1) / 2)
 		orbit := map[uint64]uint64{} // brute canon mask → labelled orbit size
-		for mask := uint64(0); mask < 1<<edges; mask++ {
-			orbit[bruteCanonical(n, mask).Canon]++
+		for _, r := range bruteForms(n) {
+			orbit[r.Canon]++
 		}
 		if uint64(len(orbit)) != a000088[n] {
 			t.Fatalf("n=%d: brute-force census found %d classes, want %d", n, len(orbit), a000088[n])
@@ -153,7 +176,7 @@ func TestBruteForceClassCensus(t *testing.T) {
 			// The representative's own brute-force form locates its class in
 			// the oracle's census; every class must be hit exactly once with
 			// a matching orbit size.
-			bf := bruteCanonical(n, c.Mask).Canon
+			bf := bruteForms(n)[c.Mask].Canon
 			want, ok := orbit[bf]
 			if !ok {
 				t.Errorf("n=%d: generator representative %#x is in no brute-force class", n, c.Mask)
@@ -190,6 +213,43 @@ func TestCanonicalIdempotent(t *testing.T) {
 			if r.Canon != c.Mask {
 				t.Fatalf("n=%d: representative %#x canonizes to %#x, not itself", n, c.Mask, r.Canon)
 			}
+		}
+	}
+}
+
+// closedFormAut lists n = 10 graphs whose |Aut| has a closed form. They are
+// the cases twin pruning collapses hardest: every vertex of the empty graph
+// and of K₁₀ is a twin of every other, and a search without the pruning
+// would walk 10! leaves for each.
+var closedFormAut = []struct {
+	name     string
+	adjacent func(u, v int) bool // 1-based, u < v
+	aut      uint64
+}{
+	{"empty", func(u, v int) bool { return false }, Factorial(10)},
+	{"K10", func(u, v int) bool { return true }, Factorial(10)},
+	{"star K1,9", func(u, v int) bool { return u == 1 }, Factorial(9)},
+	{"K5,5", func(u, v int) bool { return (u <= 5) != (v <= 5) }, 2 * Factorial(5) * Factorial(5)},
+	{"perfect matching", func(u, v int) bool { return u%2 == 1 && v == u+1 }, 1 << 5 * Factorial(5)},
+}
+
+// edgeMask10 is the 10-vertex edge mask of the graph adjacent describes.
+func edgeMask10(adjacent func(u, v int) bool) uint64 {
+	var mask uint64
+	for u := 1; u <= 10; u++ {
+		for v := u + 1; v <= 10; v++ {
+			if adjacent(u, v) {
+				mask |= 1 << uint(graph.EdgeIndex(10, u, v))
+			}
+		}
+	}
+	return mask
+}
+
+func TestClosedFormAutOrders(t *testing.T) {
+	for _, c := range closedFormAut {
+		if got := MustCanonical(10, edgeMask10(c.adjacent)).AutOrder; got != c.aut {
+			t.Errorf("%s: |Aut| = %d, want %d", c.name, got, c.aut)
 		}
 	}
 }
@@ -231,16 +291,15 @@ func TestClassSourceStreamsAllClasses(t *testing.T) {
 	}
 }
 
-func BenchmarkCanonicalForm(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 8
-	masks := make([]uint64, 1024)
-	for i := range masks {
-		masks[i] = rng.Uint64() & (1<<28 - 1)
+// BenchmarkClassTableBuild measures one uncached class-table level: the
+// n = 8 extension of the cached n = 7 table (1044 representatives).
+func BenchmarkClassTableBuild(b *testing.B) {
+	prev, err := classesLevel(7)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MustCanonical(n, masks[i%len(masks)])
+	for b.Loop() {
+		extendLevel(8, prev)
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
-
-	"refereenet/internal/graph"
 )
 
 // Class is one isomorphism class of n-vertex graphs: its canonical
@@ -19,12 +17,13 @@ type Class struct {
 }
 
 // The class tables are deterministic pure functions of n, but expensive to
-// build (the n = 9 table canonizes ~3.2·10⁶ candidate graphs), and a serve
-// daemon resolves one "canon" spec per unit — so tables are computed once
-// per process and cached. Levels build on each other (every n-vertex graph
-// is an (n-1)-vertex graph plus one vertex), so computing Classes(9) caches
-// 1..8 along the way. A cached table is never written after it is built,
-// so ClassSource slices it in place while Classes hands out copies.
+// build (the n = 9 table canonizes ~4.2·10⁵ candidate graphs, ~0.5 s on
+// two cores), and a serve daemon resolves one "canon" spec per unit — so
+// tables are computed once per process and cached. Levels build on each
+// other (every n-vertex graph is an (n-1)-vertex graph plus one vertex), so
+// computing Classes(9) caches 1..8 along the way. A cached table is never
+// written after it is built, so ClassSource slices it in place while
+// Classes hands out copies.
 var classCache struct {
 	sync.Mutex
 	levels map[int][]Class
@@ -79,23 +78,16 @@ func classesLevel(n int) ([]Class, error) {
 // extendLevel builds the level-m table from level m-1: every m-vertex graph
 // contains an (m-1)-vertex induced subgraph (drop any vertex), so extending
 // each (m-1)-class representative by a new vertex m with every neighborhood
-// ⊆ {1..m-1} and canonizing covers every m-class. That is
-// |classes(m-1)|·2^(m-1) canonizations — 3.16·10⁶ at m = 9 versus the 2^36
-// labelled graphs a naive census would canonize.
+// ⊆ {1..m-1} covers every m-class. Most of those |classes(m-1)|·2^(m-1)
+// candidates (3.2·10⁶ at m = 9) are redundant, so a candidate is canonized
+// only if the new vertex maximizes the isomorphism invariant
+// f(v) = (deg v, Σ of neighbour degrees), compared lexicographically with
+// ties passing (see newVertexMaximal). That loses no class: every class c
+// has a vertex v maximizing f; deleting v leaves a graph isomorphic to some
+// (m-1)-representative r, and extending r by the image of N(v) gives a
+// candidate isomorphic to c in which vertex m plays v's role, so it passes.
+// At m = 9, 418,190 candidates pass for 274,668 classes.
 func extendLevel(m int, prev []Class) []Class {
-	// Re-indexing tables: edge idx in the (m-1)-vertex EdgeIndex space →
-	// idx in the m-vertex space, and neighborhood bit j → edge {j+1, m}.
-	oldEdges := (m - 1) * (m - 2) / 2
-	reIdx := make([]uint, oldEdges)
-	for idx := 0; idx < oldEdges; idx++ {
-		u, v := graph.EdgePair(m-1, idx)
-		reIdx[idx] = uint(graph.EdgeIndex(m, u, v))
-	}
-	newEdge := make([]uint, m-1)
-	for j := 0; j < m-1; j++ {
-		newEdge[j] = uint(graph.EdgeIndex(m, j+1, m))
-	}
-
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(prev) {
 		workers = len(prev)
@@ -109,16 +101,17 @@ func extendLevel(m int, prev []Class) []Class {
 			defer wg.Done()
 			seen := make(map[uint64]uint64)
 			for i := w; i < len(prev); i += workers {
-				base := uint64(0)
-				for rm := prev[i].Mask; rm != 0; rm &= rm - 1 {
-					base |= 1 << reIdx[bits.TrailingZeros64(rm)]
-				}
-				for sub := uint64(0); sub < 1<<uint(m-1); sub++ {
-					mask := base
-					for sb := sub; sb != 0; sb &= sb - 1 {
-						mask |= 1 << newEdge[bits.TrailingZeros64(sb)]
+				adj := adjacency(m-1, prev[i].Mask)
+				for sub := uint16(0); sub < 1<<uint(m-1); sub++ {
+					if !newVertexMaximal(m, &adj, sub) {
+						continue
 					}
-					r := MustCanonical(m, mask)
+					ext := adj
+					ext[m-1] = sub
+					for sb := sub; sb != 0; sb &= sb - 1 {
+						ext[bits.TrailingZeros16(sb)] |= 1 << uint(m-1)
+					}
+					r := MustCanonical(m, pack(m, &ext))
 					seen[r.Canon] = r.AutOrder
 				}
 			}
@@ -140,11 +133,42 @@ func extendLevel(m int, prev []Class) []Class {
 	for c := range merged {
 		masks = append(masks, c)
 	}
-	sort.Slice(masks, func(i, j int) bool { return masks[i] < masks[j] })
+	slices.Sort(masks)
 	nf := Factorial(m)
 	lvl := make([]Class, len(masks))
 	for i, c := range masks {
 		lvl[i] = Class{Mask: c, Weight: nf / merged[c]}
 	}
 	return lvl
+}
+
+// newVertexMaximal reports whether vertex m-1 (0-based), joined to the
+// neighbourhood sub of the (m-1)-vertex graph adj, maximizes
+// f(v) = (deg v, Σ of neighbour degrees) in the extended graph.
+func newVertexMaximal(m int, adj *[MaxN]uint16, sub uint16) bool {
+	dm := bits.OnesCount16(sub)
+	var d [MaxN]int // degrees in the extended graph
+	for v := 0; v < m-1; v++ {
+		d[v] = bits.OnesCount16(adj[v]) + int(sub>>uint(v)&1)
+		if d[v] > dm {
+			return false
+		}
+	}
+	sm := 0
+	for sb := sub; sb != 0; sb &= sb - 1 {
+		sm += d[bits.TrailingZeros16(sb)]
+	}
+	for v := 0; v < m-1; v++ {
+		if d[v] < dm {
+			continue
+		}
+		sv := int(sub>>uint(v)&1) * dm
+		for a := adj[v]; a != 0; a &= a - 1 {
+			sv += d[bits.TrailingZeros16(a)]
+		}
+		if sv > sm {
+			return false
+		}
+	}
+	return true
 }

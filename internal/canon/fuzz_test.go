@@ -17,6 +17,10 @@ func FuzzCanonicalForm(f *testing.F) {
 	f.Add(uint8(7), uint64(0x155555), int64(3))
 	f.Add(uint8(8), uint64(0x0fedcba987), int64(4))
 	f.Add(uint8(9), uint64(0xfff00000000), int64(5))
+	// The closed-form |Aut| graphs at n = 10 (nRaw 8): twin-heavy shapes.
+	for i, c := range closedFormAut {
+		f.Add(uint8(8), edgeMask10(c.adjacent), int64(6+i))
+	}
 	f.Fuzz(func(t *testing.T, nRaw uint8, maskRaw uint64, permSeed int64) {
 		n := 2 + int(nRaw)%(MaxN-1) // 2..MaxN
 		mask := maskRaw & (1<<uint(n*(n-1)/2) - 1)
