@@ -31,8 +31,8 @@ func main() {
 	ranks := flag.String("ranks", "", "with -counts: restrict to Gray-code ranks lo:hi of the size-n space; disjoint ranges counted on different machines merge by addition")
 	flag.Parse()
 
-	if *n > collide.MaxEnumerationN {
-		log.Fatalf("n=%d exceeds the enumeration ceiling %d", *n, collide.MaxEnumerationN)
+	if *n < 1 || *n > collide.MaxEnumerationN {
+		log.Fatalf("n=%d outside the enumeration range [1,%d]", *n, collide.MaxEnumerationN)
 	}
 	if *n >= 8 && !*big {
 		log.Fatalf("n=%d enumerates %d graphs; pass -big to confirm", *n, uint64(1)<<uint(*n*(*n-1)/2))

@@ -75,8 +75,7 @@ func (s *ClassSource) Next() *graph.Graph {
 	return s.g
 }
 
-// NextBlock implements the block half of engine.WeightedBlockSource:
-// the next ≤ 64 class representatives gathered into one transposed block
+// NextBlock implements engine.BlockSource: the next ≤ 64 class representatives gathered into one transposed block
 // via lanes.Block.FillMasks (representatives are not Gray-adjacent, so the
 // incremental suffix-XOR fill does not apply), their orbit weights held
 // for the paired Weights call. Advancing the class cursor does not touch
@@ -104,8 +103,8 @@ func (s *ClassSource) NextBlock(blk *lanes.Block) bool {
 	return true
 }
 
-// Weights implements the weight half of engine.WeightedBlockSource: slot
-// j's labelled-orbit size for the block most recently served by NextBlock,
+// Weights implements the block half of engine.Weighted: slot j's
+// labelled-orbit size for the block most recently served by NextBlock,
 // zero in dead-lane slots.
 func (s *ClassSource) Weights(w *[lanes.Lanes]uint64) { *w = s.wts }
 
@@ -114,8 +113,8 @@ func (s *ClassSource) Weights(w *[lanes.Lanes]uint64) { *w = s.wts }
 // stream allocation-free — steady-state benchmarks rely on this.
 func (s *ClassSource) Reset() { s.pos = 0 }
 
-// Weight implements engine.Weighted: the labelled-orbit size of the class
-// most recently yielded by Next.
+// Weight implements the scalar half of engine.Weighted: the labelled-orbit
+// size of the class most recently yielded by Next.
 func (s *ClassSource) Weight() uint64 { return s.weight }
 
 // Mask returns the canonical edge mask of the graph most recently yielded.

@@ -71,20 +71,18 @@ func TestFamilyCountsBipartiteFormula(t *testing.T) {
 }
 
 func TestFamilyCountsForestsCayleyCheck(t *testing.T) {
-	// Labelled forests on 4 vertices: 38 (trees 16 by Cayley + smaller
-	// forests: 1 empty + 6 one-edge + 15 two-edge... easier: count directly
-	// that trees on 4 vertices = 16).
-	trees := CountGraphs(4, func(g *graph.Graph) bool {
-		return g.IsForest() && g.IsConnected()
-	})
-	if trees != 16 {
-		t.Errorf("labelled trees on 4 vertices = %d, want 16 (Cayley)", trees)
-	}
-	trees5 := CountGraphs(5, func(g *graph.Graph) bool {
-		return g.IsForest() && g.IsConnected()
-	})
-	if trees5 != 125 {
-		t.Errorf("labelled trees on 5 vertices = %d, want 125 (Cayley)", trees5)
+	// Labelled trees (connected forests) on n vertices: n^(n-2) by Cayley.
+	for n, want := range map[int]uint64{4: 16, 5: 125} {
+		var trees uint64
+		src := NewGraySource(n)
+		for g := src.Next(); g != nil; g = src.Next() {
+			if g.IsForest() && g.IsConnected() {
+				trees++
+			}
+		}
+		if trees != want {
+			t.Errorf("labelled trees on %d vertices = %d, want %d (Cayley)", n, trees, want)
+		}
 	}
 }
 
@@ -290,6 +288,77 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 		par := CountParallel(n)
 		if seq != par {
 			t.Fatalf("n=%d: parallel %+v != sequential %+v", n, par, seq)
+		}
+	}
+}
+
+// TestSearchCertificatesPinned pins the exact certificates the searches
+// return. Each search keeps the first colliding pair its walk meets, so the
+// masks record the enumeration order as well as the protocol: a change of
+// walk that still finds some collision would pass validateCert but fail
+// here. The values were recorded from the searches' earlier dedicated
+// Gray-order enumerator, which GraySource replaced.
+func TestSearchCertificatesPinned(t *testing.T) {
+	preds := map[string]func(*graph.Graph) bool{
+		"square":    (*graph.Graph).HasSquare,
+		"triangle":  (*graph.Graph).HasTriangle,
+		"diam<=3":   func(g *graph.Graph) bool { return g.DiameterAtMost(3) },
+		"connected": (*graph.Graph).IsConnected,
+	}
+	strawmen := map[string]Strawman{}
+	for _, s := range WeakStrawmen() {
+		strawmen[s.Label] = s
+	}
+	for _, want := range []struct {
+		strawman, pred string
+		n              int
+		maskA, maskB   uint64
+		messageBits    int
+	}{
+		{"degree", "square", 5, 62, 199, 15},
+		{"degree", "triangle", 5, 62, 199, 15},
+		{"degree", "diam<=3", 6, 246, 813, 18},
+		{"degree", "connected", 5, 106, 201, 15},
+		{"hash[2b]", "square", 4, 31, 29, 8},
+		{"hash[2b]", "triangle", 4, 13, 15, 8},
+		{"hash[2b]", "diam<=3", 4, 7, 5, 8},
+		{"hash[2b]", "connected", 4, 7, 5, 8},
+		{"hash[3b]", "square", 5, 75, 219, 15},
+		{"hash[3b]", "triangle", 4, 3, 43, 12},
+		{"hash[3b]", "diam<=3", 4, 1, 41, 12},
+		{"hash[3b]", "connected", 4, 1, 41, 12},
+		{"mod[3]", "square", 5, 302, 775, 25},
+		{"mod[3]", "triangle", 5, 298, 771, 25},
+		{"mod[3]", "diam<=3", 6, 2172, 6197, 30},
+		{"mod[3]", "connected", 5, 298, 771, 25},
+		{"trunc[1+2b]", "square", 6, 1024, 3121, 18},
+		{"trunc[1+2b]", "triangle", 6, 1026, 3123, 18},
+		{"trunc[1+2b]", "diam<=3", 6, 1030, 3127, 18},
+		{"trunc[1+2b]", "connected", 6, 1030, 3127, 18},
+	} {
+		var cert *Certificate
+		for n := 4; n <= 6 && cert == nil; n++ {
+			cert = FindDecisionCollision(strawmen[want.strawman].Local, preds[want.pred], n, nil)
+		}
+		if cert == nil || cert.N != want.n || cert.MaskA != want.maskA || cert.MaskB != want.maskB || cert.MessageBits != want.messageBits {
+			t.Errorf("%s vs %s: certificate %+v, want n=%d masks (%d, %d) bits %d",
+				want.strawman, want.pred, cert, want.n, want.maskA, want.maskB, want.messageBits)
+		}
+	}
+	cert := FindReconstructionCollision(DegreeOnly().Local, 5, func(g *graph.Graph) bool { return !g.HasSquare() })
+	if cert == nil || cert.MaskA != 29 || cert.MaskB != 43 || cert.MessageBits != 15 {
+		t.Errorf("square-free reconstruction certificate %+v, want masks (29, 43) bits 15", cert)
+	}
+	for _, want := range []struct {
+		n                        int
+		degree, forests, familyN uint64
+	}{{3, 8, 7, 7}, {4, 54, 38, 38}, {5, 533, 291, 291}} {
+		distinct, family := CountDistinctVectors(DegreeOnly().Local, want.n, nil)
+		forests, forestFamily := CountDistinctVectors(DegreeSum().Local, want.n, (*graph.Graph).IsForest)
+		if distinct != want.degree || family != 1<<uint(want.n*(want.n-1)/2) ||
+			forests != want.forests || forestFamily != want.familyN {
+			t.Errorf("n=%d: distinct vectors degree %d/%d, degree+sum on forests %d/%d; want %d, %d/%d",
+				want.n, distinct, family, forests, forestFamily, want.degree, want.forests, want.familyN)
 		}
 	}
 }

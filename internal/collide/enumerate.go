@@ -42,20 +42,6 @@ func EnumerateGraphs(n int, visit func(mask uint64, g *graph.Graph) bool) {
 	}
 }
 
-// CountGraphs returns the number of labelled graphs on n vertices satisfying
-// pred. The enumeration is incremental: one reused graph, one edge toggled
-// per step (Gray-code order), so the only per-graph cost is pred itself.
-func CountGraphs(n int, pred func(*graph.Graph) bool) uint64 {
-	var count uint64
-	EnumerateGraphsIncremental(n, func(_ uint64, g *graph.Graph) bool {
-		if pred(g) {
-			count++
-		}
-		return true
-	})
-	return count
-}
-
 // FamilyCounts collects the exact sizes of the families the paper's
 // counting arguments use, for one n.
 type FamilyCounts struct {

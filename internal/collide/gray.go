@@ -27,8 +27,8 @@ import (
 // GraySourceForRange, ParseRankRange) return errors rather than panicking:
 // ranks arrive from CLI flags and remote plans, and a malformed range from a
 // stale coordinator must fail the unit, not kill the process that serves it.
-// The n-only conveniences (EnumerateGraphsGray, EnumerateGraphsIncremental,
-// Count) keep their panic contract for local callers with literal sizes.
+// The n-only conveniences (EnumerateGraphsGray, NewGraySource, Count) keep
+// their panic contract for local callers with literal sizes.
 
 // ValidateGrayRange checks that [lo, hi) is a well-formed Gray-code rank
 // range of the size-n labelled-graph space: 0 ≤ n ≤ MaxEnumerationN and
@@ -104,34 +104,6 @@ func EnumerateGraphsGrayRange(n int, lo, hi uint64, visit func(mask uint64, g gr
 		}
 	}
 	return nil
-}
-
-// EnumerateGraphsIncremental visits every labelled graph in Gray-code order
-// through a SINGLE reused *graph.Graph, toggling one edge per step instead
-// of rebuilding n+1 adjacency rows per mask. It exists for callers whose
-// predicates and protocols speak *graph.Graph (the collision searches);
-// the graph passed to visit is mutated between calls and must not be
-// retained. It panics for n > MaxEnumerationN.
-func EnumerateGraphsIncremental(n int, visit func(mask uint64, g *graph.Graph) bool) {
-	if n < 0 || n > MaxEnumerationN {
-		panic(fmt.Sprintf("collide: n=%d exceeds enumeration bound %d", n, MaxEnumerationN))
-	}
-	total := uint(n * (n - 1) / 2)
-	var us, vs [64]int
-	edgePairs(n, &us, &vs)
-	g := graph.New(n)
-	mask := uint64(0)
-	if !visit(mask, g) {
-		return
-	}
-	for i := uint64(1); i < 1<<total; i++ {
-		bit := bits.TrailingZeros64(i)
-		mask ^= 1 << uint(bit)
-		g.ToggleEdge(us[bit], vs[bit])
-		if !visit(mask, g) {
-			return
-		}
-	}
 }
 
 // countInto tallies one graph into fc. Kept as a named same-package function

@@ -92,18 +92,18 @@ func TestGrayEarlyStop(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesMask checks the reused-*Graph enumerator agrees with
-// FromEdgeMask at every step.
+// TestIncrementalMatchesMask checks that GraySource's reused *Graph agrees
+// with FromEdgeMask of its Mask at every step, over the whole space.
 func TestIncrementalMatchesMask(t *testing.T) {
-	for _, n := range []int{0, 1, 4, 5} {
+	for _, n := range []int{1, 4, 5} {
 		visits := uint64(0)
-		EnumerateGraphsIncremental(n, func(mask uint64, g *graph.Graph) bool {
+		src := NewGraySource(n)
+		for g := src.Next(); g != nil; g = src.Next() {
 			visits++
-			if !g.Equal(graph.FromEdgeMask(n, mask)) {
-				t.Fatalf("n=%d mask=%d: incremental graph diverged: %v", n, mask, g)
+			if !g.Equal(graph.FromEdgeMask(n, src.Mask())) {
+				t.Fatalf("n=%d mask=%d: incremental graph diverged: %v", n, src.Mask(), g)
 			}
-			return true
-		})
+		}
 		if want := uint64(1) << uint(n*(n-1)/2); visits != want {
 			t.Fatalf("n=%d: visited %d graphs, want %d", n, visits, want)
 		}

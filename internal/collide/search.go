@@ -78,7 +78,8 @@ func totalBits(msgs []bits.String) int {
 // collision certificate of the given protocol against pred. family (may be
 // nil) restricts the search to a subfamily. Returns nil when no collision
 // exists at this n (the protocol *might* decide pred here — or the n is too
-// small for the pigeonhole to bite).
+// small for the pigeonhole to bite). Like every search here it walks
+// GraySource order and panics for n outside [1, MaxEnumerationN].
 func FindDecisionCollision(p sim.Local, pred func(*graph.Graph) bool, n int, family func(*graph.Graph) bool) *Certificate {
 	// Bucket graphs by fingerprint, remembering one representative mask per
 	// observed (fingerprint, predicate) pair; verify exact equality before
@@ -88,35 +89,28 @@ func FindDecisionCollision(p sim.Local, pred func(*graph.Graph) bool, n int, fam
 		pred bool
 	}
 	buckets := make(map[uint64][]entry)
-	var found *Certificate
 	msgs := make([]bits.String, n)
 	nbrs := make([]int, 0, n)
-	EnumerateGraphsIncremental(n, func(mask uint64, g *graph.Graph) bool {
+	src := NewGraySource(n)
+	for g := src.Next(); g != nil; g = src.Next() {
 		if family != nil && !family(g) {
-			return true
+			continue
 		}
 		nbrs = engine.Fill(g, p, msgs, nbrs)
 		fp := vectorFingerprint(msgs)
 		pv := pred(g)
 		for _, e := range buckets[fp] {
-			if e.pred == pv {
-				continue
-			}
-			other := graph.FromEdgeMask(n, e.mask)
-			otherMsgs := messageVector(p, other)
-			if vectorsEqual(msgs, otherMsgs) {
-				found = &Certificate{
-					N: n, MaskA: e.mask, MaskB: mask,
+			if e.pred != pv && vectorsEqual(msgs, messageVector(p, graph.FromEdgeMask(n, e.mask))) {
+				return &Certificate{
+					N: n, MaskA: e.mask, MaskB: src.Mask(),
 					PredA: e.pred, PredB: pv,
 					MessageBits: totalBits(msgs),
 				}
-				return false
 			}
 		}
-		buckets[fp] = append(buckets[fp], entry{mask, pv})
-		return true
-	})
-	return found
+		buckets[fp] = append(buckets[fp], entry{src.Mask(), pv})
+	}
+	return nil
 }
 
 // FindReconstructionCollision searches a family for two *distinct* graphs
@@ -124,29 +118,26 @@ func FindDecisionCollision(p sim.Local, pred func(*graph.Graph) bool, n int, fam
 // protocol cannot reconstruct the family.
 func FindReconstructionCollision(p sim.Local, n int, family func(*graph.Graph) bool) *Certificate {
 	buckets := make(map[uint64][]uint64)
-	var found *Certificate
 	msgs := make([]bits.String, n)
 	nbrs := make([]int, 0, n)
-	EnumerateGraphsIncremental(n, func(mask uint64, g *graph.Graph) bool {
+	src := NewGraySource(n)
+	for g := src.Next(); g != nil; g = src.Next() {
 		if family != nil && !family(g) {
-			return true
+			continue
 		}
 		nbrs = engine.Fill(g, p, msgs, nbrs)
 		fp := vectorFingerprint(msgs)
 		for _, om := range buckets[fp] {
-			other := graph.FromEdgeMask(n, om)
-			if vectorsEqual(msgs, messageVector(p, other)) {
-				found = &Certificate{
-					N: n, MaskA: om, MaskB: mask,
+			if vectorsEqual(msgs, messageVector(p, graph.FromEdgeMask(n, om))) {
+				return &Certificate{
+					N: n, MaskA: om, MaskB: src.Mask(),
 					MessageBits: totalBits(msgs),
 				}
-				return false
 			}
 		}
-		buckets[fp] = append(buckets[fp], mask)
-		return true
-	})
-	return found
+		buckets[fp] = append(buckets[fp], src.Mask())
+	}
+	return nil
 }
 
 // CountDistinctVectors returns how many distinct message vectors p produces
@@ -154,31 +145,32 @@ func FindReconstructionCollision(p sim.Local, n int, family func(*graph.Graph) b
 // smaller than the family size, reconstruction is impossible (pigeonhole),
 // even before exhibiting the collision.
 func CountDistinctVectors(p sim.Local, n int, family func(*graph.Graph) bool) (distinct, familySize uint64) {
-	type bucket struct{ masks []uint64 }
-	buckets := make(map[uint64]*bucket)
+	buckets := make(map[uint64][]uint64)
 	msgs := make([]bits.String, n)
 	nbrs := make([]int, 0, n)
-	EnumerateGraphsIncremental(n, func(mask uint64, g *graph.Graph) bool {
+	src := NewGraySource(n)
+	for g := src.Next(); g != nil; g = src.Next() {
 		if family != nil && !family(g) {
-			return true
+			continue
 		}
 		familySize++
 		nbrs = engine.Fill(g, p, msgs, nbrs)
 		fp := vectorFingerprint(msgs)
-		b, ok := buckets[fp]
-		if !ok {
-			buckets[fp] = &bucket{masks: []uint64{mask}}
+		if !seenVector(msgs, buckets[fp], p, n) {
+			buckets[fp] = append(buckets[fp], src.Mask())
 			distinct++
+		}
+	}
+	return distinct, familySize
+}
+
+// seenVector reports whether msgs equals the message vector of any graph in
+// masks.
+func seenVector(msgs []bits.String, masks []uint64, p sim.Local, n int) bool {
+	for _, om := range masks {
+		if vectorsEqual(msgs, messageVector(p, graph.FromEdgeMask(n, om))) {
 			return true
 		}
-		for _, om := range b.masks {
-			if vectorsEqual(msgs, messageVector(p, graph.FromEdgeMask(n, om))) {
-				return true
-			}
-		}
-		b.masks = append(b.masks, mask)
-		distinct++
-		return true
-	})
-	return distinct, familySize
+	}
+	return false
 }

@@ -129,7 +129,7 @@ var canonVectorFixtures = []struct {
 // TestVectorScalarDigest: every vectorized protocol runs the pinned canon
 // fixtures through the weighted-vector fold and the forced-scalar weighted
 // loop, comparing the JSON wire encodings byte for byte. This is the
-// conformance pin for source kind "canon" × engine.WeightedBlockSource —
+// conformance pin for source kind "canon" × a Weighted engine.BlockSource —
 // orbit weights folded per lane must reconstitute exactly what the scalar
 // Next/Weight pair accumulates.
 func TestWeightedVectorScalarDigest(t *testing.T) {

@@ -29,16 +29,20 @@ type Volatile interface {
 }
 
 // Weighted marks sources whose graphs stand for more than one graph each —
-// the isomorphism-quotient plane streams one representative per class and
+// the isomorphism-quotient plane streams one representative per class.
 // Weight reports the labelled-orbit size of the graph most recently returned
-// by Next. The batch engine multiplies every per-graph tally (Graphs,
-// TotalBits, Accepted, Rejected, Errors) by the weight, so merged stats
-// reconstitute exact labelled totals; MaxBits and MaxN are per-graph maxima
-// and stay unweighted. Because Weight is read after Next — a stateful pair —
-// weighted sources run on one goroutine, like Volatile ones; split a
-// weighted stream into per-shard sources to parallelize it.
+// by Next (the scalar pull); Weights fills w with the weight of each slot of
+// the block most recently served by NextBlock, zero in dead slots (the block
+// pull of a Weighted BlockSource). The batch engine multiplies every
+// per-graph tally (Graphs, TotalBits, Accepted, Rejected, Errors) by the
+// weight, so merged stats reconstitute exact labelled totals; MaxBits and
+// MaxN are per-graph maxima and stay unweighted. Because the weights are
+// read after the pull — a stateful pair — weighted sources run on one
+// goroutine, like Volatile ones; split a weighted stream into per-shard
+// sources to parallelize it.
 type Weighted interface {
 	Weight() uint64
+	Weights(w *[lanes.Lanes]uint64)
 }
 
 // BlockSource is implemented by sources that can serve their stream as
@@ -48,26 +52,13 @@ type Weighted interface {
 // exhaustion; ragged tails (a range not divisible by 64) surface as blocks
 // whose LiveMask covers fewer than 64 lanes. Batch consumes blocks only
 // when the protocol opted into VectorLocal; otherwise the source's scalar
-// Next carries the run, so implementing BlockSource is always safe.
+// Next carries the run, so implementing BlockSource is always safe. A
+// Weighted BlockSource (the isomorphism-quotient plane, whose class
+// representatives gather into blocks via lanes.Block.FillMasks) pairs each
+// NextBlock with a Weights call.
 type BlockSource interface {
 	Source
 	NextBlock(blk *lanes.Block) bool
-}
-
-// WeightedBlockSource is implemented by Weighted sources that can also
-// serve their stream as lanes.Blocks — the isomorphism-quotient plane,
-// whose class representatives are not Gray-adjacent and therefore gather
-// into blocks via lanes.Block.FillMasks. Weights fills w with the orbit
-// weight of each slot of the block most recently served by NextBlock
-// (dead-lane slots are zero); like the scalar Next/Weight pair, the
-// NextBlock/Weights pair is stateful and runs on one goroutine. The batch
-// engine takes this path only when the protocol's kernel exposes the
-// per-lane view (lanes.BlockStats.PerLane) needed to scale each lane by
-// its own weight.
-type WeightedBlockSource interface {
-	BlockSource
-	Weighted
-	Weights(w *[lanes.Lanes]uint64)
 }
 
 // Erring is implemented by sources that can fail mid-stream — a disk corpus
@@ -232,7 +223,7 @@ type batchScratch struct {
 	w     bits.Writer
 	t     Transcript
 	blk   lanes.Block      // per-worker: block sources may run on pool goroutines
-	bs    lanes.BlockStats // per-block tally, reused so the hot loop stays 0 alloc
+	bs    lanes.BlockStats // per-block facts, reused so the hot loop stays 0 alloc
 	wts   [lanes.Lanes]uint64
 }
 
@@ -335,8 +326,11 @@ func (b *Batch) worker(sc *batchScratch) {
 
 // Run streams src through the protocol and returns aggregated stats. With
 // one worker — or a Volatile source, whose reused graph cannot be shared, or
-// a Weighted one, whose Next/Weight pair cannot straddle goroutines — the
-// whole run happens on the calling goroutine.
+// a Weighted one, whose pull/weight pairs cannot straddle goroutines — the
+// whole run happens on the calling goroutine, and runShard sees src itself,
+// so a BlockSource can take the block loop. Otherwise the workers share src
+// through a lock that serves graphs only, and every worker runs the scalar
+// loop.
 func (b *Batch) Run(src Source) BatchStats {
 	if b.workers == 1 || isVolatile(src) || isWeighted(src) {
 		b.inline.src = src
@@ -409,101 +403,51 @@ func (b *Batch) dispatch(shards []batchShard) BatchStats {
 	return out
 }
 
-// runShard picks the shard's loop once — vector, buffered-arena, scheduled
-// or plain — instead of re-branching on the invariants inside the per-graph
-// hot loop. A Weighted source vectorizes only through the explicit
-// WeightedBlockSource capability (orbit weights are per-slot, so the fold
-// needs the kernel's per-lane view); a merely-Weighted BlockSource stays on
-// the scalar loop, where Next/Weight pair up.
+// runShard picks the shard's loop once, instead of re-branching inside the
+// per-graph hot loop: the block loop when the protocol has a lane kernel and
+// the source serves blocks, the scalar loop otherwise. A Weighted source
+// takes either loop with its weights.
 func (b *Batch) runShard(sh *batchShard, sc *batchScratch) {
 	sh.stats = BatchStats{}
-	src := sh.src
-	if b.vkern != nil && isWeighted(src) {
-		if ws, ok := src.(WeightedBlockSource); ok {
-			b.runWeightedBlocks(ws, &sh.stats, sc)
-			return
-		}
-	}
-	if b.vkern != nil && !isWeighted(src) {
-		if bs, ok := src.(BlockSource); ok {
-			b.runBlocks(bs, &sh.stats, sc)
-			return
-		}
-	}
-	w, _ := src.(Weighted)
-	switch {
-	case b.buffered != nil:
-		b.runShardBuffered(src, w, &sh.stats, sc)
-	case b.opts.Sched != nil:
-		b.runShardSched(src, w, &sh.stats, sc)
-	default:
-		b.runShardPlain(src, w, &sh.stats, sc)
-	}
-}
-
-// runBlocks is the lane-parallel fast path: the source serves transposed
-// 64-graph blocks and the protocol's kernel folds each one into block stats
-// with word-parallel ops — only the per-block fold into BatchStats is
-// scalar. Ragged tail blocks carry a partial LiveMask and account exactly.
-func (b *Batch) runBlocks(src BlockSource, st *BatchStats, sc *batchScratch) {
-	for src.NextBlock(&sc.blk) {
-		sc.bs = lanes.BlockStats{}
-		b.vkern(&sc.blk, &sc.bs)
-		st.foldBlock(sc.bs)
-	}
-}
-
-// foldBlock merges one block's tallies, mirroring Merge: counters add,
-// maxima take the larger value.
-func (s *BatchStats) foldBlock(o lanes.BlockStats) {
-	s.Graphs += o.Graphs
-	s.TotalBits += o.TotalBits
-	if o.MaxBits > s.MaxBits {
-		s.MaxBits = o.MaxBits
-	}
-	if o.MaxN > s.MaxN {
-		s.MaxN = o.MaxN
-	}
-	s.Accepted += o.Accepted
-	s.Rejected += o.Rejected
-	s.Errors += o.Errors
-}
-
-// runWeightedBlocks is the lane-parallel loop for orbit-weighted class
-// streams: each block holds 64 class representatives, the kernel's
-// per-lane view says which lanes are live (and, when deciding, which
-// accept), and the fold scales each lane by its own weight — so a canon
-// block reconstitutes the labelled totals of up to 64 whole isomorphism
-// orbits per kernel call.
-func (b *Batch) runWeightedBlocks(src WeightedBlockSource, st *BatchStats, sc *batchScratch) {
-	for src.NextBlock(&sc.blk) {
-		sc.bs = lanes.BlockStats{}
-		b.vkern(&sc.blk, &sc.bs)
-		src.Weights(&sc.wts)
-		st.foldBlockWeighted(&sc.bs, &sc.wts)
-	}
-}
-
-// foldBlockWeighted merges one block's tallies under per-lane weights,
-// mirroring the scalar account contract exactly: Graphs/TotalBits (and,
-// when the kernel decided, Accepted/Rejected) accumulate Σ weight[j]·bit j
-// over the live lanes instead of popcounts; MaxBits/MaxN are per-graph
-// maxima and stay unweighted. Kernels fold per-graph quantities that are
-// uniform across the block (TotalBits == Graphs·GraphBits), so the
-// weighted total is wsum·GraphBits.
-func (s *BatchStats) foldBlockWeighted(o *lanes.BlockStats, w *[lanes.Lanes]uint64) {
-	if o.Graphs == 0 {
+	w, _ := sh.src.(Weighted)
+	if bs, ok := sh.src.(BlockSource); ok && b.vkern != nil {
+		b.runBlocks(bs, w, &sh.stats, sc)
 		return
 	}
-	if !o.PerLane {
-		panic("engine: vector kernel lacks the per-lane view required for weighted sources")
+	b.runGraphs(sh.src, w, &sh.stats, sc)
+}
+
+// runBlocks is the lane-parallel loop: the source serves transposed
+// 64-graph blocks, the protocol's kernel describes each one with word-
+// parallel ops, and only the per-block fold into BatchStats is scalar.
+// Ragged tail blocks carry a partial LiveMask and account exactly. For a
+// Weighted source each lane is scaled by its own weight, so a canon block
+// reconstitutes the labelled totals of up to 64 whole isomorphism orbits
+// per kernel call.
+func (b *Batch) runBlocks(src BlockSource, w Weighted, st *BatchStats, sc *batchScratch) {
+	for src.NextBlock(&sc.blk) {
+		b.vkern(&sc.blk, &sc.bs)
+		var wts *[lanes.Lanes]uint64
+		if w != nil {
+			w.Weights(&sc.wts)
+			wts = &sc.wts
+		}
+		st.foldBlock(&sc.bs, wts)
 	}
-	var wsum uint64
-	for live := o.Live; live != 0; live &= live - 1 {
-		wsum += w[mathbits.TrailingZeros64(live)]
+}
+
+// foldBlock merges one block into s, mirroring the scalar account contract
+// exactly: every live lane j adds w[j] graphs of GraphBits bits and, when
+// the kernel decided, w[j] accepted or rejected verdicts. A nil w means unit
+// weights, where the sums are popcounts. MaxBits/MaxN are per-graph maxima
+// and stay unweighted.
+func (s *BatchStats) foldBlock(o *lanes.BlockStats, w *[lanes.Lanes]uint64) {
+	if o.Live == 0 {
+		return
 	}
-	s.Graphs += wsum
-	s.TotalBits += wsum * o.GraphBits
+	graphs := laneSum(o.Live, w)
+	s.Graphs += graphs
+	s.TotalBits += graphs * o.GraphBits
 	if o.MaxBits > s.MaxBits {
 		s.MaxBits = o.MaxBits
 	}
@@ -511,63 +455,60 @@ func (s *BatchStats) foldBlockWeighted(o *lanes.BlockStats, w *[lanes.Lanes]uint
 		s.MaxN = o.MaxN
 	}
 	if o.Decided {
-		var wacc uint64
-		for a := o.Accept & o.Live; a != 0; a &= a - 1 {
-			wacc += w[mathbits.TrailingZeros64(a)]
-		}
-		s.Accepted += wacc
-		s.Rejected += wsum - wacc
+		accepted := laneSum(o.Accept&o.Live, w)
+		s.Accepted += accepted
+		s.Rejected += graphs - accepted
 	}
 }
 
-// runShardBuffered is the arena hot loop: messages land in a reused byte
-// arena via the protocol's AppendLocalMessage — zero allocations per graph.
-func (b *Batch) runShardBuffered(src Source, w Weighted, st *BatchStats, sc *batchScratch) {
-	for g := src.Next(); g != nil; g = src.Next() {
-		n := g.N()
-		msgs := sc.sized(n)
-		sc.arena = sc.arena[:0]
-		for v := 1; v <= n; v++ {
-			sc.nbrs = g.AppendNeighbors(v, sc.nbrs[:0])
-			sc.w.Reset()
-			b.buffered.AppendLocalMessage(&sc.w, n, v, sc.nbrs)
-			msgs[v-1], sc.arena = sc.w.AppendTo(sc.arena)
-		}
-		b.account(g, weightOf(w), msgs, st, sc)
-	}
-}
-
-// runShardSched runs each graph's local phase under the configured
-// scheduler (protocol-allocated messages, intra-graph scheduling).
-func (b *Batch) runShardSched(src Source, w Weighted, st *BatchStats, sc *batchScratch) {
-	for g := src.Next(); g != nil; g = src.Next() {
-		msgs := sc.sized(g.N())
-		b.opts.Sched.Run(g, b.p, msgs)
-		b.account(g, weightOf(w), msgs, st, sc)
-	}
-}
-
-// runShardPlain is the fallback for protocols without AppendLocalMessage.
-func (b *Batch) runShardPlain(src Source, w Weighted, st *BatchStats, sc *batchScratch) {
-	for g := src.Next(); g != nil; g = src.Next() {
-		n := g.N()
-		msgs := sc.sized(n)
-		sc.nbrs = fillRange(g, b.p, msgs, 1, n, sc.nbrs)
-		b.account(g, weightOf(w), msgs, st, sc)
-	}
-}
-
-func weightOf(w Weighted) uint64 {
+// laneSum returns Σ w[j] over the set bits j of mask; nil w weighs every
+// lane 1.
+func laneSum(mask uint64, w *[lanes.Lanes]uint64) uint64 {
 	if w == nil {
-		return 1
+		return uint64(mathbits.OnesCount64(mask))
 	}
-	return w.Weight()
+	var sum uint64
+	for ; mask != 0; mask &= mask - 1 {
+		sum += w[mathbits.TrailingZeros64(mask)]
+	}
+	return sum
 }
 
-// account folds one evaluated graph into st — the accounting tail shared by
-// every scalar loop: bit totals, optional referee verdict, optional
-// transcript observer. The weight (1 for plain sources, the labelled-orbit
-// size for Weighted ones) scales every counter; maxima stay per-graph.
+// runGraphs is the scalar loop. Per graph it fills the message vector the
+// one way this batch allows — the protocol's arena writer (BufferedLocal:
+// zero allocations per graph), the configured scheduler (protocol-allocated
+// messages, intra-graph scheduling), or plain LocalMessage calls — and then
+// accounts it under the source's weight.
+func (b *Batch) runGraphs(src Source, w Weighted, st *BatchStats, sc *batchScratch) {
+	for g := src.Next(); g != nil; g = src.Next() {
+		n := g.N()
+		msgs := sc.sized(n)
+		switch {
+		case b.buffered != nil:
+			sc.arena = sc.arena[:0]
+			for v := 1; v <= n; v++ {
+				sc.nbrs = g.AppendNeighbors(v, sc.nbrs[:0])
+				sc.w.Reset()
+				b.buffered.AppendLocalMessage(&sc.w, n, v, sc.nbrs)
+				msgs[v-1], sc.arena = sc.w.AppendTo(sc.arena)
+			}
+		case b.opts.Sched != nil:
+			b.opts.Sched.Run(g, b.p, msgs)
+		default:
+			sc.nbrs = fillRange(g, b.p, msgs, 1, n, sc.nbrs)
+		}
+		weight := uint64(1)
+		if w != nil {
+			weight = w.Weight()
+		}
+		b.account(g, weight, msgs, st, sc)
+	}
+}
+
+// account folds one evaluated graph into st — the accounting tail of the
+// scalar loop: bit totals, optional referee verdict, optional transcript
+// observer. The weight (1 for plain sources, the labelled-orbit size for
+// Weighted ones) scales every counter; maxima stay per-graph.
 func (b *Batch) account(g *graph.Graph, weight uint64, msgs []bits.String, st *BatchStats, sc *batchScratch) {
 	n := g.N()
 	st.Graphs += weight

@@ -53,9 +53,11 @@ type BufferedLocal interface {
 }
 
 // VectorLocal is an optional lane-parallel variant of Local: the protocol
-// can evaluate a transposed 64-graph lanes.Block with a handful of word ops
-// and fold the result straight into block stats, bypassing the per-graph
-// message loop entirely. Batch detects it once at construction — the same
+// can evaluate a transposed 64-graph lanes.Block with a handful of word ops,
+// bypassing the per-graph message loop entirely. Its kernel reports only
+// per-lane facts (live lanes, accepted lanes, per-graph bit counts); the
+// batch's one block fold turns them into BatchStats, under per-lane weights
+// for Weighted sources. Batch detects it once at construction — the same
 // opt-in pattern as BufferedLocal — and routes sources that serve blocks
 // (BlockSource) through the kernel.
 //

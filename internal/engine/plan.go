@@ -260,10 +260,10 @@ func ExecuteShard(spec ShardSpec) (BatchStats, error) {
 	if !ok {
 		return BatchStats{}, fmt.Errorf("engine: unknown protocol %q", spec.Protocol)
 	}
-	opts := BatchOptions{Workers: 1, Decide: spec.Decide, MaxN: spec.Config.N}
-	if spec.Source.N > opts.MaxN {
-		opts.MaxN = spec.Source.N
-	}
+	// Scratch is pre-sized from the source's n, which its resolver bounds;
+	// Config.N is unchecked client data, and graphs larger than the source
+	// claims grow the scratch lazily.
+	opts := BatchOptions{Workers: 1, Decide: spec.Decide, MaxN: spec.Source.N}
 	if spec.Sched != "" && spec.Sched != "serial" {
 		s, ok := SchedulerByName(spec.Sched)
 		if !ok {

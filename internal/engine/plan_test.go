@@ -3,6 +3,7 @@ package engine_test
 import (
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"refereenet/internal/collide"
@@ -236,6 +237,34 @@ func TestExecuteShardErrors(t *testing.T) {
 		if _, err := engine.ExecuteShard(bad); err == nil {
 			t.Errorf("spec %+v executed without error", bad)
 		}
+	}
+}
+
+// A plan's config.n is client data and must not size worker memory: the
+// shard's scratch is pre-sized from the resolved source alone, whose
+// resolver bounds n. A huge config.n must neither allocate in proportion
+// nor panic, and must not change the stats.
+func TestExecuteShardConfigNDoesNotSizeScratch(t *testing.T) {
+	spec := engine.ShardSpec{Protocol: "degree", Source: engine.SourceSpec{Kind: "gray", N: 4, Lo: 0, Hi: 64}}
+	spec.Config.N = 4
+	want, err := engine.ExecuteShard(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Config.N = 1 << 62
+	if got, err := engine.ExecuteShard(spec); err != nil || got != want {
+		t.Fatalf("config.n=1<<62: stats %+v err %v, want %+v", got, err, want)
+	}
+	spec.Config.N = 1 << 24
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := engine.ExecuteShard(spec)
+	runtime.ReadMemStats(&after)
+	if err != nil || got != want {
+		t.Fatalf("config.n=1<<24: stats %+v err %v, want %+v", got, err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("config.n=1<<24 allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"refereenet/internal/engine"
 	"refereenet/internal/gen"
 	"refereenet/internal/graph"
+	"refereenet/internal/lanes"
 )
 
 // weightedSlice is a Weighted source: each graph carries a multiplicity, the
@@ -28,6 +29,9 @@ func (s *weightedSlice) Next() *graph.Graph {
 }
 
 func (s *weightedSlice) Weight() uint64 { return s.w }
+
+// Weights is never called: weightedSlice serves no blocks.
+func (s *weightedSlice) Weights(*[lanes.Lanes]uint64) { panic("weightedSlice serves no blocks") }
 
 // TestBatchWeightedEqualsMultiplied pins the weighted-accumulation contract:
 // a weighted run must produce exactly the stats of the expanded stream where
